@@ -10,7 +10,9 @@
 //!   appended to per-range, append-only **tail pages**, keeping all versions.
 //! * A table-embedded **indirection column** (the only in-place-updated
 //!   column) links each base record to its latest version; versions chain
-//!   backwards, so any version is at most two hops away.
+//!   backwards. A latest read costs the head record plus the base page; a
+//!   snapshot read costs the versions newer than the snapshot plus the
+//!   base.
 //! * A background, **contention-free merge** consolidates committed tail
 //!   records into fresh base pages; each page tracks its lineage with a
 //!   **tail-page sequence number (TPS)**, and outdated pages are reclaimed

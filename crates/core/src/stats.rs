@@ -14,8 +14,11 @@ pub struct TableStats {
     pub deletes: AtomicU64,
     /// First-update snapshot records taken (§3.1).
     pub snapshots_taken: AtomicU64,
-    /// Write-write conflicts detected (→ aborts).
+    /// Write-write conflicts returned to the caller (→ aborts).
     pub write_conflicts: AtomicU64,
+    /// Writes that waited out a live competitor on the same record and
+    /// then succeeded.
+    pub write_waits: AtomicU64,
     /// Merge passes executed.
     pub merges: AtomicU64,
     /// Tail records consumed by merges.
@@ -24,10 +27,6 @@ pub struct TableStats {
     pub insert_merges: AtomicU64,
     /// Tail records compressed into the historic store.
     pub historic_compressed: AtomicU64,
-    /// Reads served entirely from base pages (⊥ or TPS fast path).
-    pub fast_path_reads: AtomicU64,
-    /// Reads that walked the version chain.
-    pub chain_reads: AtomicU64,
 }
 
 impl TableStats {
@@ -51,12 +50,11 @@ impl TableStats {
             deletes: self.deletes.load(Ordering::Relaxed),
             snapshots_taken: self.snapshots_taken.load(Ordering::Relaxed),
             write_conflicts: self.write_conflicts.load(Ordering::Relaxed),
+            write_waits: self.write_waits.load(Ordering::Relaxed),
             merges: self.merges.load(Ordering::Relaxed),
             merged_records: self.merged_records.load(Ordering::Relaxed),
             insert_merges: self.insert_merges.load(Ordering::Relaxed),
             historic_compressed: self.historic_compressed.load(Ordering::Relaxed),
-            fast_path_reads: self.fast_path_reads.load(Ordering::Relaxed),
-            chain_reads: self.chain_reads.load(Ordering::Relaxed),
             pool_resident: 0,
             pool_pinned: 0,
             pool_hits: 0,
@@ -79,12 +77,11 @@ impl StatsSnapshot {
             deletes,
             snapshots_taken,
             write_conflicts,
+            write_waits,
             merges,
             merged_records,
             insert_merges,
             historic_compressed,
-            fast_path_reads,
-            chain_reads,
             pool_resident,
             pool_pinned,
             pool_hits,
@@ -97,12 +94,11 @@ impl StatsSnapshot {
         self.deletes += deletes;
         self.snapshots_taken += snapshots_taken;
         self.write_conflicts += write_conflicts;
+        self.write_waits += write_waits;
         self.merges += merges;
         self.merged_records += merged_records;
         self.insert_merges += insert_merges;
         self.historic_compressed += historic_compressed;
-        self.fast_path_reads += fast_path_reads;
-        self.chain_reads += chain_reads;
         // Buffer-pool fields describe the one database-global pool, not a
         // per-shard block: `max` keeps the stamped value intact whether the
         // other side is an unstamped shard block (zeros) or another table's
@@ -127,8 +123,10 @@ pub struct StatsSnapshot {
     pub deletes: u64,
     /// First-update snapshot records taken.
     pub snapshots_taken: u64,
-    /// Write-write conflicts detected.
+    /// Write-write conflicts returned to the caller.
     pub write_conflicts: u64,
+    /// Writes that waited out a live competitor, then succeeded.
+    pub write_waits: u64,
     /// Merge passes executed.
     pub merges: u64,
     /// Tail records consumed by merges.
@@ -137,10 +135,6 @@ pub struct StatsSnapshot {
     pub insert_merges: u64,
     /// Tail records compressed into the historic store.
     pub historic_compressed: u64,
-    /// Fast-path reads.
-    pub fast_path_reads: u64,
-    /// Chain-walk reads.
-    pub chain_reads: u64,
     /// Buffer-pool gauge: base-page frames currently resident in memory
     /// (0 when the database runs without a page store). The eviction
     /// invariant `pool_resident <= budget + pool_pinned` holds at every

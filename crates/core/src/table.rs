@@ -29,6 +29,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
@@ -42,12 +43,17 @@ use crate::error::{Error, Result};
 use crate::historic::HistoricStore;
 use crate::merge::{self, MergeReport};
 use crate::multi_read::PointOutcome;
-use crate::range::UpdateRange;
+use crate::range::{BaseVersion, UpdateRange};
 use crate::read::{ReadMode, Resolved, VersionReader};
 use crate::rid::Rid;
 use crate::schema::{Schema, SchemaEncoding};
 use crate::shard::{RangeRegistry, ShardMap, TableShard};
 use crate::stats::{StatsSnapshot, TableStats};
+
+/// How long a writer waits for a live competitor on the same record
+/// (latch held, or an Active / PreCommit owner of the latest version)
+/// before it reports a write-write conflict.
+const WRITE_WAIT: Duration = Duration::from_millis(1);
 
 /// A lineage-based table.
 pub struct Table {
@@ -505,6 +511,36 @@ impl Table {
         Ok(rid)
     }
 
+    /// Latch `slot` for `txn_id` unless a competitor owns it: the latch is
+    /// held, or the latest version belongs to another Active or PreCommit
+    /// transaction (a write-write conflict, §5.1.1). Returns the pre-latch
+    /// indirection pointer with the latch held, or `None` with nothing held.
+    fn try_claim(
+        &self,
+        range: &UpdateRange,
+        base: &BaseVersion,
+        slot: u32,
+        txn_id: u64,
+    ) -> Option<Rid> {
+        let prev = range.try_latch(slot)?;
+        let head_start = if prev.is_null() {
+            base.start_cell(slot)
+        } else if (prev.seq() as u64) < range.historic_boundary() {
+            0 // historic versions are committed by construction
+        } else {
+            range.tail.start_cell(prev.seq())
+        };
+        if lstore_txn::is_txn_id(head_start) && head_start != txn_id {
+            if let Some(TxnStatus::Active | TxnStatus::PreCommit) =
+                self.runtime.mgr.get(head_start).map(|i| i.status)
+            {
+                range.unlatch_restore(slot, prev);
+                return None;
+            }
+        }
+        Some(prev)
+    }
+
     fn write_tail(
         &self,
         txn: &mut Transaction,
@@ -516,39 +552,30 @@ impl Table {
         let base_rid = self.locate(key)?;
         let range = self.range(base_rid.range());
         let slot = base_rid.slot();
-        let base = range.base();
 
-        // §5.1.1 write: latch via the indirection latch bit.
-        let prev = match range.try_latch(slot) {
-            Some(p) => p,
-            None => {
+        // §5.1.1 write: latch via the indirection latch bit, then check the
+        // latest version's owner. A live competitor (latch held, or an
+        // Active / PreCommit owner) is waited out for up to `WRITE_WAIT`
+        // rather than aborting at once; the budget keeps an idle holder or
+        // a waits-for cycle failing fast.
+        let mut deadline = None;
+        let (base, prev) = loop {
+            // Re-read after any wait: a merge may have swapped the base.
+            let base = range.base();
+            if let Some(prev) = self.try_claim(&range, &base, slot, txn.id) {
+                break (base, prev);
+            }
+            let now = Instant::now();
+            if now >= *deadline.get_or_insert(now + WRITE_WAIT) {
                 TableStats::bump(&shard.stats.write_conflicts);
                 return Err(Error::WriteConflict {
                     base_rid: base_rid.0,
                 });
             }
+            std::thread::yield_now();
         };
-
-        // Write-write conflict: is the latest version's Start Time a
-        // competing uncommitted transaction?
-        let head_start = if prev.is_null() {
-            base.start_cell(slot)
-        } else if (prev.seq() as u64) < range.historic_boundary() {
-            0 // historic versions are committed by construction
-        } else {
-            range.tail.start_cell(prev.seq())
-        };
-        if lstore_txn::is_txn_id(head_start) && head_start != txn.id {
-            match self.runtime.mgr.get(head_start).map(|i| i.status) {
-                Some(TxnStatus::Active) | Some(TxnStatus::PreCommit) => {
-                    range.unlatch_restore(slot, prev);
-                    TableStats::bump(&shard.stats.write_conflicts);
-                    return Err(Error::WriteConflict {
-                        base_rid: base_rid.0,
-                    });
-                }
-                _ => {}
-            }
+        if deadline.is_some() {
+            TableStats::bump(&shard.stats.write_waits);
         }
 
         // Updating a deleted (or not-yet-visible) record is an error: the
@@ -627,33 +654,47 @@ impl Table {
 
         // Cumulative carry (§3.1): repeat the latest values of previously
         // updated columns, unless cumulation was reset by a merge (§4.2).
+        // The values come from the newest committed (or own) record below
+        // the head; aborted records are skipped rather than ending the
+        // carry, which would leave every later version incomplete and send
+        // readers down the chain. Snapshot records passed on the way hold
+        // the latest values of the columns they snapshot.
         let mut enc = SchemaEncoding(upd_bits);
         let mut columns: Vec<(usize, u64)> = internal_updates.to_vec();
         if is_delete {
             enc = SchemaEncoding::empty().with_delete();
-        } else if self.config.cumulative_updates
-            && prev.is_tail()
-            && (prev.seq() as u64) > range.cumulation_reset()
-            && (prev.seq() as u64) >= range.historic_boundary()
-        {
-            let prev_seq = prev.seq();
-            let prev_cell = range.tail.start_cell(prev_seq);
-            let carry_ok = !lstore_txn::is_txn_id(prev_cell)
-                || prev_cell == txn.id
-                || matches!(
-                    self.runtime.mgr.get(prev_cell).map(|i| i.status),
-                    Some(TxnStatus::Committed)
-                );
-            if carry_ok {
-                let prev_enc = range.tail.encoding(prev_seq);
-                if !prev_enc.is_delete() {
-                    for c in prev_enc.columns() {
-                        if upd_bits & (1 << c) == 0 {
-                            columns.push((c, range.tail.value(prev_seq, c)));
+        } else if self.config.cumulative_updates {
+            let mut cursor = prev;
+            while cursor.is_tail()
+                && (cursor.seq() as u64) > range.cumulation_reset()
+                && (cursor.seq() as u64) >= range.historic_boundary()
+            {
+                let seq = cursor.seq();
+                let cell = range.tail.start_cell(seq);
+                let visible = !lstore_txn::is_txn_id(cell)
+                    || cell == txn.id
+                    || match self.runtime.mgr.get(cell).map(|i| i.status) {
+                        Some(TxnStatus::Committed) => true,
+                        Some(TxnStatus::Aborted) | None => false,
+                        // Unreachable below a claimed head; carry nothing.
+                        Some(TxnStatus::Active | TxnStatus::PreCommit) => break,
+                    };
+                if visible {
+                    let rec = range.tail.encoding(seq);
+                    if rec.is_delete() {
+                        break;
+                    }
+                    for c in rec.columns() {
+                        if enc.column_bits() & (1 << c) == 0 {
+                            columns.push((c, range.tail.value(seq, c)));
                             enc.set(c);
                         }
                     }
+                    if !rec.is_snapshot() {
+                        break;
+                    }
                 }
+                cursor = range.tail.prev(seq);
             }
         }
 
@@ -1003,7 +1044,18 @@ impl Table {
     /// flight, so concurrent merges of *different* ranges — the per-shard
     /// queues drain in parallel — never conflict.
     pub(crate) fn process_merge(&self, range_id: u32) -> MergeReport {
-        self.process_merge_inner(range_id, false)
+        let report = self.process_merge_inner(range_id, false);
+        // Appends that crossed the threshold while this pass held the
+        // claim could not enqueue a merge of their own: re-arm for them.
+        // Only after progress, so records held back by an in-flight
+        // transaction wait for the next append instead of spinning the pool.
+        if report.consumed > 0 {
+            let range = self.range(range_id);
+            if range.unmerged() >= self.config.merge_threshold as u64 {
+                self.enqueue_merge(&range);
+            }
+        }
+        report
     }
 
     fn process_merge_inner(&self, range_id: u32, force_seal: bool) -> MergeReport {

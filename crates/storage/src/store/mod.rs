@@ -44,7 +44,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::page::BasePage;
 
 use file::StoreFile;
-use pool::{BufferPool, Frame};
+use pool::{BufferPool, EvictOutcome, Frame};
 
 /// Page ids with this bit set are reserved for checkpoint manifests;
 /// [`PageStore::allocate_id`] never produces them.
@@ -114,13 +114,14 @@ impl PageStore {
             id,
             Some(Arc::clone(&page)),
             true,
+            Arc::downgrade(self),
             Arc::clone(self.pool.stats()),
         ));
         // Admission order upholds `resident ≤ budget + pinned`: the
         // admitting pin lands before the resident gauge moves, and is
         // only released once the budget sweep has run.
         let admit = frame.pin_with(page);
-        self.pool.stats().resident.fetch_add(1, Ordering::SeqCst);
+        self.pool.stats().add_resident();
         self.pool.register(&frame);
         self.enforce_budget();
         drop(admit);
@@ -137,7 +138,13 @@ impl PageStore {
         if !self.index.read().contains_key(&id) {
             return Err(StorageError::MissingEntry { id });
         }
-        let frame = Arc::new(Frame::new(id, None, false, Arc::clone(self.pool.stats())));
+        let frame = Arc::new(Frame::new(
+            id,
+            None,
+            false,
+            Arc::downgrade(self),
+            Arc::clone(self.pool.stats()),
+        ));
         self.pool.register(&frame);
         Ok(PagePtr::Stored(PageHandle {
             store: Arc::clone(self),
@@ -170,7 +177,7 @@ impl PageStore {
         );
         *slot = Some(Arc::clone(&page));
         let pinned = frame.pin_with(page);
-        self.pool.stats().resident.fetch_add(1, Ordering::SeqCst);
+        self.pool.stats().add_resident();
         self.pool.stats().faults.fetch_add(1, Ordering::Relaxed);
         drop(slot);
         self.enforce_budget();
@@ -279,10 +286,36 @@ impl PageStore {
             .pool
             .enforce_budget(&mut |id, page| self.writeback(id, page));
         if let Err(e) = outcome {
-            let mut last = self.last_error.lock();
-            if last.is_none() {
-                *last = Some(e);
+            self.park_error(e);
+        }
+    }
+
+    /// One eviction on behalf of a pin release that would otherwise leave
+    /// the pool above `budget + pinned`. False when the victim's writeback
+    /// failed (the error is parked like any sweep's).
+    pub(crate) fn evict_for_release(&self) -> bool {
+        match self
+            .pool
+            .evict_one(&mut |id, page| self.writeback(id, page))
+        {
+            EvictOutcome::Evicted => true,
+            EvictOutcome::NoVictim => {
+                // Only transient here (a racing pin or slot latch): unpinned
+                // frames outnumber the budget whenever a release must wait.
+                std::thread::yield_now();
+                true
             }
+            EvictOutcome::WritebackFailed(e) => {
+                self.park_error(e);
+                false
+            }
+        }
+    }
+
+    fn park_error(&self, e: StorageError) {
+        let mut last = self.last_error.lock();
+        if last.is_none() {
+            *last = Some(e);
         }
     }
 }
@@ -489,6 +522,25 @@ mod tests {
         assert!(stats.resident <= 1 + stats.pinned);
         drop(guard);
         assert_eq!(store.pool_stats().pinned, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn releasing_pins_restores_the_budget() {
+        let path = temp_store_path("release");
+        let store = PageStore::open(&path, Some(1)).unwrap();
+        let ptrs: Vec<PagePtr> = (0..3).map(|i| store.seal(page(i, 64))).collect();
+        let mut guards: Vec<_> = ptrs.iter().map(PagePtr::read).collect();
+        assert_eq!(store.pool_stats().pinned, 3);
+        while let Some(guard) = guards.pop() {
+            drop(guard);
+            let stats = store.pool_stats();
+            assert!(
+                stats.resident <= 1 + stats.pinned,
+                "a released pin left the pool over budget: {stats:?}"
+            );
+        }
+        assert_eq!(store.pool_stats().resident, 1);
         std::fs::remove_file(&path).ok();
     }
 

@@ -24,22 +24,80 @@ use parking_lot::{Mutex, RwLock};
 use crate::error::{StorageError, StorageResult};
 use crate::page::BasePage;
 
-/// Shared pool counters. Gauges (`resident`, `pinned`) track live state;
-/// the rest are monotonic event counters.
+use super::PageStore;
+
+/// Shared pool counters. The two gauges (`resident`, `pinned`) live in
+/// one word, so a snapshot reads both at one instant; the rest are
+/// monotonic event counters.
 ///
-/// Update ordering maintains the invariant `resident ≤ budget + pinned`
-/// at every observable instant (absent writeback failures, which park a
-/// dirty frame resident): admission paths bump `pinned` *before*
-/// `resident`, and the admitting pin is only released after the budget
-/// sweep has run.
-#[derive(Debug, Default)]
+/// Every gauge transition keeps the invariant `resident ≤ budget + pinned`
+/// (absent writeback failures, which park a dirty frame resident):
+/// admission paths bump `pinned` *before* `resident`, evictions only lower
+/// `resident`, and releasing a pin that would break the bound evicts
+/// first ([`Frame::release_pin`]).
+#[derive(Debug)]
 pub(crate) struct PoolStats {
-    pub(crate) resident: AtomicU64,
-    pub(crate) pinned: AtomicU64,
+    /// `resident << 32 | pinned`.
+    gauges: AtomicU64,
+    /// Capacity budget in frames (`None` = unbounded).
+    budget: Option<u64>,
     pub(crate) hits: AtomicU64,
     pub(crate) faults: AtomicU64,
     pub(crate) evictions: AtomicU64,
     pub(crate) writebacks: AtomicU64,
+}
+
+impl PoolStats {
+    /// One resident frame in the packed gauge word.
+    const RESIDENT: u64 = 1 << 32;
+
+    fn new(budget: Option<u64>) -> PoolStats {
+        PoolStats {
+            gauges: AtomicU64::new(0),
+            budget,
+            hits: AtomicU64::new(0),
+            faults: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            writebacks: AtomicU64::new(0),
+        }
+    }
+
+    /// `(resident, pinned)` of a gauge word.
+    fn unpack(g: u64) -> (u64, u64) {
+        (g >> 32, g & (Self::RESIDENT - 1))
+    }
+
+    /// `(resident, pinned)` at one instant.
+    fn gauges(&self) -> (u64, u64) {
+        Self::unpack(self.gauges.load(Ordering::SeqCst))
+    }
+
+    pub(crate) fn add_resident(&self) {
+        self.gauges.fetch_add(Self::RESIDENT, Ordering::SeqCst);
+    }
+
+    fn sub_resident(&self) {
+        self.gauges.fetch_sub(Self::RESIDENT, Ordering::SeqCst);
+    }
+
+    /// Drop one pin from the gauge unless that would leave
+    /// `resident > budget + pinned`; false means a frame must go first.
+    fn try_release_pin(&self) -> bool {
+        let mut g = self.gauges.load(Ordering::SeqCst);
+        loop {
+            let (resident, pinned) = Self::unpack(g);
+            if self.budget.is_some_and(|b| resident + 1 > b + pinned) {
+                return false;
+            }
+            match self
+                .gauges
+                .compare_exchange_weak(g, g - 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => return true,
+                Err(now) => g = now,
+            }
+        }
+    }
 }
 
 /// Point-in-time copy of the pool counters plus the configured budget.
@@ -78,6 +136,8 @@ impl PoolStatsSnapshot {
 pub(crate) struct Frame {
     /// Stable id of this page in the store file.
     pub(crate) id: u64,
+    /// The owning store, for evictions a pin release must run first.
+    store: Weak<PageStore>,
     /// The cached page; `None` when evicted.
     pub(crate) slot: RwLock<Option<Arc<BasePage>>>,
     /// Outstanding pins; the clock never evicts a pinned frame.
@@ -94,10 +154,12 @@ impl Frame {
         id: u64,
         page: Option<Arc<BasePage>>,
         dirty: bool,
+        store: Weak<PageStore>,
         stats: Arc<PoolStats>,
     ) -> Frame {
         Frame {
             id,
+            store,
             slot: RwLock::new(page),
             pins: AtomicU64::new(0),
             referenced: AtomicBool::new(false),
@@ -111,11 +173,29 @@ impl Frame {
     /// returned guard keeps the frame unevictable until dropped.
     pub(crate) fn pin_with(self: &Arc<Self>, page: Arc<BasePage>) -> PinnedPage {
         self.pins.fetch_add(1, Ordering::SeqCst);
-        self.stats.pinned.fetch_add(1, Ordering::SeqCst);
+        self.stats.gauges.fetch_add(1, Ordering::SeqCst);
         self.referenced.store(true, Ordering::SeqCst);
         PinnedPage {
             page,
             frame: Arc::clone(self),
+        }
+    }
+
+    /// Release one pin from the pinned gauge (the frame's own count is
+    /// already down). When the pool sits at `budget + pinned`, the release
+    /// would break that bound, so it evicts an unpinned frame first — more
+    /// than `budget` of them exist then. A writeback failure releases
+    /// anyway: the dirty victim stays resident, as in any sweep.
+    fn release_pin(&self) {
+        while !self.stats.try_release_pin() {
+            let evicted = self
+                .store
+                .upgrade()
+                .is_some_and(|store| store.evict_for_release());
+            if !evicted {
+                self.stats.gauges.fetch_sub(1, Ordering::SeqCst);
+                return;
+            }
         }
     }
 }
@@ -125,7 +205,7 @@ impl Drop for Frame {
         // A frame dying with its page still installed (version retired by
         // the epoch mechanism while resident) leaves the resident gauge.
         if self.slot.get_mut().is_some() {
-            self.stats.resident.fetch_sub(1, Ordering::SeqCst);
+            self.stats.sub_resident();
         }
     }
 }
@@ -159,7 +239,7 @@ impl Deref for PinnedPage {
 impl Drop for PinnedPage {
     fn drop(&mut self) {
         self.frame.pins.fetch_sub(1, Ordering::SeqCst);
-        self.frame.stats.pinned.fetch_sub(1, Ordering::SeqCst);
+        self.frame.release_pin();
     }
 }
 
@@ -192,7 +272,6 @@ struct Clock {
 /// embedded in base versions, which the engine retires through the epoch
 /// mechanism. Dead weak entries are pruned as the hand passes them.
 pub(crate) struct BufferPool {
-    budget: Option<u64>,
     clock: Mutex<Clock>,
     stats: Arc<PoolStats>,
 }
@@ -200,17 +279,16 @@ pub(crate) struct BufferPool {
 impl BufferPool {
     pub(crate) fn new(budget: Option<usize>) -> BufferPool {
         BufferPool {
-            budget: budget.map(|b| b.max(1) as u64),
             clock: Mutex::new(Clock {
                 frames: Vec::new(),
                 hand: 0,
             }),
-            stats: Arc::new(PoolStats::default()),
+            stats: Arc::new(PoolStats::new(budget.map(|b| b.max(1) as u64))),
         }
     }
 
     pub(crate) fn budget(&self) -> Option<usize> {
-        self.budget.map(|b| b as usize)
+        self.stats.budget.map(|b| b as usize)
     }
 
     pub(crate) fn stats(&self) -> &Arc<PoolStats> {
@@ -253,10 +331,10 @@ impl BufferPool {
         &self,
         writeback: &mut dyn FnMut(u64, &BasePage) -> StorageResult<()>,
     ) -> StorageResult<()> {
-        let Some(budget) = self.budget else {
+        let Some(budget) = self.stats.budget else {
             return Ok(());
         };
-        while self.stats.resident.load(Ordering::SeqCst) > budget {
+        while self.stats.gauges().0 > budget {
             match self.evict_one(writeback) {
                 EvictOutcome::Evicted => continue,
                 EvictOutcome::NoVictim => break,
@@ -268,7 +346,7 @@ impl BufferPool {
 
     /// One clock sweep step: advance the hand until a victim is evicted or
     /// two full revolutions found nothing evictable.
-    fn evict_one(
+    pub(crate) fn evict_one(
         &self,
         writeback: &mut dyn FnMut(u64, &BasePage) -> StorageResult<()>,
     ) -> EvictOutcome {
@@ -327,7 +405,7 @@ impl BufferPool {
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
             *slot = None;
-            self.stats.resident.fetch_sub(1, Ordering::SeqCst);
+            self.stats.sub_resident();
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             return EvictOutcome::Evicted;
         }
@@ -335,14 +413,15 @@ impl BufferPool {
     }
 
     pub(crate) fn snapshot(&self) -> PoolStatsSnapshot {
+        let (resident, pinned) = self.stats.gauges();
         PoolStatsSnapshot {
-            resident: self.stats.resident.load(Ordering::SeqCst),
-            pinned: self.stats.pinned.load(Ordering::SeqCst),
+            resident,
+            pinned,
             hits: self.stats.hits.load(Ordering::Relaxed),
             faults: self.stats.faults.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
             writebacks: self.stats.writebacks.load(Ordering::Relaxed),
-            budget: self.budget,
+            budget: self.stats.budget,
         }
     }
 }
@@ -350,7 +429,7 @@ impl BufferPool {
 impl fmt::Debug for BufferPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BufferPool")
-            .field("budget", &self.budget)
+            .field("budget", &self.stats.budget)
             .field("stats", &self.snapshot())
             .finish_non_exhaustive()
     }

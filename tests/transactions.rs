@@ -30,6 +30,86 @@ fn write_write_conflict_aborts_second_writer() {
 }
 
 #[test]
+fn writer_waits_out_a_committing_holder() {
+    let (db, t) = setup();
+    // Whether the holder's commit lands while the requester is already
+    // waiting is up to the scheduler, so rounds repeat until one does;
+    // every round's outcome is checked either way.
+    for round in 0..1000u64 {
+        let key = round % 100;
+        let mut holder = db.begin();
+        t.update(&mut holder, key, &[(0, 1_000 + round)]).unwrap();
+        let started = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let requester = s.spawn(|| {
+                let mut txn = db.begin();
+                started.store(true, std::sync::atomic::Ordering::SeqCst);
+                loop {
+                    match t.update(&mut txn, key, &[(1, 2_000 + round)]) {
+                        Ok(_) => break,
+                        // The holder outlived the wait budget: retry.
+                        Err(lstore::Error::WriteConflict { .. }) => continue,
+                        Err(e) => panic!("round {round}: {e:?}"),
+                    }
+                }
+                db.commit(&mut txn).unwrap();
+            });
+            while !started.load(std::sync::atomic::Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            db.commit(&mut holder).unwrap();
+            requester.join().unwrap();
+        });
+        // The second write chained on the committed first one: its
+        // cumulative record carries the holder's column too.
+        assert_eq!(
+            t.read_latest_auto(key).unwrap(),
+            vec![1_000 + round, 2_000 + round],
+            "round {round}"
+        );
+        if t.stats().write_waits > 0 {
+            return;
+        }
+    }
+    panic!("no round waited: {:?}", t.stats());
+}
+
+#[test]
+fn crossed_writers_both_return_promptly() {
+    let (db, t) = setup();
+    let barrier = &std::sync::Barrier::new(2);
+    let (db, t) = (&db, &t);
+    let started = std::time::Instant::now();
+    let committed: Vec<bool> = std::thread::scope(|s| {
+        let run = move |first: u64, second: u64| {
+            let mut txn = db.begin();
+            t.update(&mut txn, first, &[(0, first)]).unwrap();
+            barrier.wait(); // each now holds the record the other wants
+            match t.update(&mut txn, second, &[(0, first)]) {
+                Ok(_) => db.commit(&mut txn).is_ok(),
+                Err(e) => {
+                    assert!(matches!(e, lstore::Error::WriteConflict { .. }), "{e:?}");
+                    db.abort(&mut txn);
+                    false
+                }
+            }
+        };
+        let a = s.spawn(move || run(40, 41));
+        let b = s.spawn(move || run(41, 40));
+        vec![a.join().unwrap(), b.join().unwrap()]
+    });
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "a waits-for cycle must end within the wait budget, took {elapsed:?}"
+    );
+    assert!(
+        committed.contains(&false),
+        "a waits-for cycle cannot commit both sides"
+    );
+}
+
+#[test]
 fn uncommitted_writes_invisible_until_commit() {
     let (db, t) = setup();
     let mut writer = db.begin();

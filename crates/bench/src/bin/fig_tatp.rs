@@ -19,9 +19,11 @@
 //! * **multi_read_64 / per_key_64** — the tentpole criterion: one
 //!   read-only transaction per iteration touching 64 zipfian keys, once
 //!   through `Transaction::multi_read` (planner + pool fan-out + read-set
-//!   join) and once as a per-key `Table::read` loop. `batched_speedup`
-//!   is their ratio; above 1 at pool ≥ 2 means transactional batching
-//!   pays for its planning.
+//!   join) and once as a per-key `Table::read` loop, both on a freshly
+//!   populated table so they measure the same state whatever the write
+//!   windows before them committed. `batched_speedup` is their ratio;
+//!   above 1 at pool ≥ 2 means transactional batching pays for its
+//!   planning.
 //!
 //! The `*_commit_ratio` cells (committed / attempted, higher is better)
 //! are the gated abort-rate metrics: a commit-path regression that starts
@@ -202,16 +204,20 @@ fn main() {
 
     for threads in setup::thread_sweep() {
         for pool in setup::pool_thread_sweep() {
-            let engine = setup::lstore_contention_engine(&config, pool);
-            let db: Arc<Database> = engine.database().clone();
-            let table = engine.table();
-            // Pre-update a fifth of the table so point reads walk real tail
-            // chains instead of resolving on merged base pages.
-            for key in (0..config.rows).step_by(5) {
-                table
-                    .update_auto(key, &[(0, key + 1), (3, 7)])
-                    .expect("pre-update");
-            }
+            // A populated engine with a fifth of the table pre-updated, so
+            // point reads walk real tail chains instead of resolving on
+            // merged base pages.
+            let prepared = || {
+                let engine = setup::lstore_contention_engine(&config, pool);
+                let table = engine.table();
+                for key in (0..config.rows).step_by(5) {
+                    table
+                        .update_auto(key, &[(0, key + 1), (3, 7)])
+                        .expect("pre-update");
+                }
+                (engine.database().clone(), table)
+            };
+            let (db, table): (Arc<Database>, _) = prepared();
 
             // --- TATP mix: 80% 4-key read txns, 20% single-key RMW txns.
             let (tatp, tatp_secs) = run_window(threads, window, 0x7A7, |rng, counts| {
@@ -236,6 +242,11 @@ fn main() {
             });
 
             // --- Tentpole criterion: 64-key read txns, batched vs per-key.
+            // They read a fresh table: the windows above commit as many
+            // versions as their throughput allows, and with auto-merge and
+            // cumulative updates off the hot keys' chains would grow with
+            // it, tying these cells to the write path's speed.
+            let (db, table) = prepared();
             let (multi, multi_secs) = run_window(threads, window, 0xBA7C4, |rng, counts| {
                 let keys: Vec<u64> = (0..BATCH_KEYS).map(|_| zipf.sample(rng)).collect();
                 let mut txn = db.begin_with(IsolationLevel::Snapshot);

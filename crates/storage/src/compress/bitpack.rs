@@ -58,6 +58,28 @@ impl BitPacked {
         }
     }
 
+    /// Rebuild from the parts [`BitPacked::words`] and
+    /// [`BitPacked::width`] expose, as a page image stores them. Rejects a
+    /// width outside `1..=64` and a word count other than
+    /// `ceil(len × width / 64)`, so every slot below `len` is readable.
+    pub fn from_parts(words: Box<[u64]>, width: u8, len: usize) -> Result<Self, &'static str> {
+        if !(1..=64).contains(&width) {
+            return Err("bit width outside 1..=64");
+        }
+        let bits = len
+            .checked_mul(width as usize)
+            .ok_or("packed length overflows")?;
+        if words.len() != bits.div_ceil(64) {
+            return Err("packed word count does not match len × width");
+        }
+        Ok(BitPacked { words, width, len })
+    }
+
+    /// The packed words, least significant bits first.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of logical values stored.
     pub fn len(&self) -> usize {
         self.len

@@ -49,6 +49,31 @@ impl DictColumn {
         }
     }
 
+    /// Rebuild from a dictionary and its packed codes (the parts
+    /// [`DictColumn::dictionary`] and [`DictColumn::codes`] expose).
+    /// Rejects any code outside the dictionary; the scan is skipped when
+    /// the code width cannot express one.
+    pub fn from_parts(dict: Box<[u64]>, codes: BitPacked) -> Result<Self, &'static str> {
+        if (dict.len() as u128) < 1u128 << codes.width() {
+            let bound = dict.len() as u64;
+            if codes.iter_range(0, codes.len()).any(|c| c >= bound) {
+                return Err("dictionary code out of range");
+            }
+        }
+        Ok(DictColumn { dict, codes })
+    }
+
+    /// The values the codes index into (sorted and distinct when built by
+    /// [`DictColumn::encode`]).
+    pub fn dictionary(&self) -> &[u64] {
+        &self.dict
+    }
+
+    /// The bit-packed codes, one per slot.
+    pub fn codes(&self) -> &BitPacked {
+        &self.codes
+    }
+
     /// Number of logical values.
     pub fn len(&self) -> usize {
         self.codes.len()

@@ -45,6 +45,20 @@ impl ForColumn {
         }
     }
 
+    /// Rebuild from a frame and its packed deltas (the parts
+    /// [`ForColumn::frame`] and [`ForColumn::deltas`] expose).
+    pub fn from_parts(frame: u64, deltas: BitPacked) -> Self {
+        ForColumn {
+            base: frame,
+            deltas,
+        }
+    }
+
+    /// The bit-packed offsets from [`ForColumn::frame`].
+    pub fn deltas(&self) -> &BitPacked {
+        &self.deltas
+    }
+
     /// Number of logical values.
     pub fn len(&self) -> usize {
         self.deltas.len()
@@ -65,10 +79,12 @@ impl ForColumn {
         self.deltas.width()
     }
 
-    /// Random access decode of value `idx`.
+    /// Random access decode of value `idx`. Wraps modulo 2⁶⁴ like
+    /// [`ColumnKernel::sum_range`], so a column rebuilt from arbitrary
+    /// parts never overflows; encoded columns never wrap.
     #[inline]
     pub fn get(&self, idx: usize) -> u64 {
-        self.base + self.deltas.get(idx)
+        self.base.wrapping_add(self.deltas.get(idx))
     }
 
     /// Heap bytes used by the packed deltas.

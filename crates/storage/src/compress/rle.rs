@@ -58,6 +58,47 @@ impl RleColumn {
         }
     }
 
+    /// Rebuild from run starts and run values (the parts
+    /// [`RleColumn::starts`] and [`RleColumn::run_values`] expose). Rejects
+    /// mismatched lengths and starts that do not rise strictly from 0
+    /// below `len`, so every slot below `len` maps to a run.
+    pub fn from_parts(
+        starts: Box<[u32]>,
+        values: Box<[u64]>,
+        len: usize,
+    ) -> Result<Self, &'static str> {
+        if starts.len() != values.len() {
+            return Err("rle starts and values differ in count");
+        }
+        if len > u32::MAX as usize {
+            return Err("rle column too long");
+        }
+        if starts.first().map_or(len != 0, |&s| s != 0) {
+            return Err("rle starts do not begin at 0");
+        }
+        if starts.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("rle starts not strictly increasing");
+        }
+        if starts.last().is_some_and(|&s| s as usize >= len) {
+            return Err("rle start beyond column length");
+        }
+        Ok(RleColumn {
+            starts,
+            values,
+            len,
+        })
+    }
+
+    /// Logical start index of each run.
+    pub fn starts(&self) -> &[u32] {
+        &self.starts
+    }
+
+    /// The value of each run, parallel to [`RleColumn::starts`].
+    pub fn run_values(&self) -> &[u64] {
+        &self.values
+    }
+
     /// Number of logical values.
     pub fn len(&self) -> usize {
         self.len

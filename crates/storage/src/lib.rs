@@ -11,13 +11,12 @@
 //! * **Compression codecs** ([`compress`]) — dictionary, run-length, and
 //!   frame-of-reference bit-packing with random-access decode, applied to
 //!   base pages at merge time and to historic tail data (§4.3).
-//! * **Page directory** ([`directory::Directory`]) — the swap-pointer map the
-//!   merge updates as its only foreground action (§4.1.1 step 4).
 //! * **Epoch-based reclamation** ([`epoch::EpochManager`]) — contention-free
 //!   de-allocation of outdated base pages once all readers that began before
 //!   the merge have drained (§4.1.1 step 5, Fig. 6).
-//! * **Disk persistence** ([`disk`]) — a simple page-image file format so
-//!   base and tail pages are "persisted identically" (§2.1).
+//! * **Disk persistence** ([`disk`]) — a codec-native page-image format so
+//!   base and tail pages are "persisted identically" (§2.1) and load back
+//!   with a word copy.
 //! * **Buffer-pool page store** ([`store`]) — sealed base pages live in a
 //!   page file behind a capacity-budgeted buffer pool with
 //!   clock/second-chance eviction, so datasets outgrow RAM while readers
@@ -27,7 +26,6 @@
 //! represented by [`NULL_VALUE`].
 
 pub mod compress;
-pub mod directory;
 pub mod disk;
 pub mod epoch;
 pub mod error;

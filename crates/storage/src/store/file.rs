@@ -7,7 +7,7 @@
 //! index, every record is self-framed:
 //!
 //! ```text
-//! magic "LSPR" | u64 page id | u32 payload len | payload (one LSPG image)
+//! magic "LSPR" | u64 page id | u32 payload len | payload (one LSPC image)
 //! ```
 //!
 //! [`StoreFile::open`] scans records from the start and stops at the first

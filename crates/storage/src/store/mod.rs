@@ -3,27 +3,33 @@
 //!
 //! The paper assumes base pages live in a storage hierarchy, not
 //! permanently in RAM; this module is that hierarchy's bottom layer. A
-//! [`PageStore`] owns one append-only page file (LSPG images framed as
-//! `LSPR` records, see `store/file.rs`) plus a buffer pool of frames
-//! with clock/second-chance eviction. The rest of the engine holds pages
-//! through [`PagePtr`]:
+//! [`PageStore`] owns one append-only page file (codec-native `LSPC`
+//! images, see [`crate::disk`], framed as `LSPR` records, see
+//! `store/file.rs`) plus a buffer pool of frames with clock/second-chance
+//! eviction. The rest of the engine holds pages through [`PagePtr`]:
 //!
 //! * [`PagePtr::Resident`] — a plain `Arc<BasePage>`, heap-resident
 //!   forever. The only variant when no store is configured; the default
 //!   configuration is byte-for-byte the pre-store engine.
 //! * [`PagePtr::Stored`] — a frame in a store. Reading pins the frame,
-//!   transparently faulting the image back in if it was evicted; the
-//!   faulted page is rebuilt with [`BasePage::from_compressed`], so the
-//!   codec is preserved exactly and compressed-columnar kernels dispatch
-//!   on it with no re-encode round trip.
+//!   transparently faulting the image back in if it was evicted. An image
+//!   holds the codec's own parts (FOR frame and packed words, RLE runs,
+//!   dictionary and packed codes), so a fault is one positioned read of
+//!   about [`BasePage::encoded_bytes`] plus a little-endian word copy into
+//!   [`BasePage::from_compressed`] — no decode and no re-encode, and the
+//!   compressed-columnar kernels dispatch on exactly the sealed codec. On
+//!   a 2-vCPU virtual machine one pin that faults a 4096-slot page costs
+//!   about 3 µs for a 32-bit FOR page, 1 µs for a constant RLE page and
+//!   10 µs for a dictionary page (whose codes are range-checked on load).
 //!
 //! The page lifecycle is **sealed → stored → faulted ⇄ evicted**: the
 //! merge seals immutable pages into the store (a resident *dirty* frame —
 //! no I/O on the merge path), eviction writes dirty images back through
-//! the LSPG encoder and drops the slot, and the next read faults the image
-//! back in. Because pages are immutable, an evicted-and-faulted page is
-//! byte-identical to the sealed original — the equivalence battery in
-//! `tests/buffer_pool_equivalence.rs` pins exactly that.
+//! [`crate::disk::encode_image`] and drops the slot, and the next read
+//! faults the image back in. Because pages are immutable, an
+//! evicted-and-faulted page is byte-identical to the sealed original — the
+//! equivalence battery in `tests/buffer_pool_equivalence.rs` pins exactly
+//! that.
 
 mod file;
 mod pool;
@@ -185,7 +191,9 @@ impl PageStore {
     }
 
     /// Read and decode the latest image stored under `id`, bypassing the
-    /// pool. The codec byte in the image is preserved exactly.
+    /// pool. The image's codec parts come back exactly as written; an image
+    /// that fails [`decode_image`]'s checks (including one of the earlier
+    /// decoded-values format) is [`StorageError::Corrupt`].
     pub fn read_page(&self, id: u64) -> StorageResult<BasePage> {
         let (off, len) = *self
             .index

@@ -252,21 +252,6 @@ impl DbConfig {
         self
     }
 
-    /// Deprecated pre-durability-knob form: enable the WAL at `path` with
-    /// `sync_on_commit` mapped onto the durability policy
-    /// ([`Durability::Wal`] when true, [`Durability::None`] when false). A
-    /// thin wrapper over [`DbConfig::with_wal_path`] +
-    /// [`DbConfig::with_durability`]; the mapping is pinned by
-    /// `wal_builders_set_durability`.
-    #[deprecated(note = "use with_wal_path(path) + with_durability(Durability)")]
-    pub fn with_wal(self, path: PathBuf, sync_on_commit: bool) -> Self {
-        self.with_wal_path(path).with_durability(if sync_on_commit {
-            Durability::Wal
-        } else {
-            Durability::None
-        })
-    }
-
     /// Set the commit durability policy (takes effect when
     /// [`DbConfig::wal_path`] is set).
     pub fn with_durability(mut self, durability: Durability) -> Self {
@@ -330,14 +315,9 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn wal_builders_set_durability() {
-        // The deprecated two-argument form keeps its historical mapping
-        // through the thin wrapper: sync_on_commit true/false ↔ Wal/None.
-        let config = DbConfig::new().with_wal("/tmp/x.wal".into(), true);
-        assert_eq!(config.durability, Durability::Wal);
+        let config = DbConfig::new().with_wal_path("/tmp/x.wal".into());
         assert!(config.wal_path.is_some());
-        let config = DbConfig::new().with_wal("/tmp/x.wal".into(), false);
         assert_eq!(config.durability, Durability::None);
         let config = config.with_durability(Durability::group_commit());
         assert_eq!(

@@ -1,6 +1,6 @@
 //! # lstore-wal
 //!
-//! Logging and recovery substrate for L-Store (§5.1.3, §5.2).
+//! Logging and recovery substrate for L-Store (§5.1.3).
 //!
 //! The lineage-based architecture makes logging unusually cheap:
 //!
@@ -22,17 +22,16 @@
 //!   through a per-stream leader/follower cohort protocol.
 //! * [`recovery`] — log scan + replay driver, including the merged
 //!   per-shard-stream recovery ([`recover_merged`]).
-//! * [`ownership`] — the §5.2 Ownership-Relaying (OR) protocol for
-//!   maintaining `pageLSN` under many concurrent writers with mostly shared
-//!   latches.
+//!
+//! The paper's §5.2 Ownership-Relaying protocol, which keeps a page's
+//! `pageLSN` correct under concurrent writers, has no counterpart here:
+//! sealed base pages are immutable and tail pages carry no `pageLSN`.
 
-pub mod ownership;
 pub mod record;
 pub mod recovery;
 pub mod sharded;
 pub mod writer;
 
-pub use ownership::{OrOutcome, OrPage};
 pub use record::LogRecord;
 pub use recovery::{recover, recover_merged, RecoveredState};
 pub use sharded::{CommitPolicy, ShardedWal, ShardedWalConfig};

@@ -1,8 +1,9 @@
 //! Service-tier axis: closed-loop multi-get throughput and latency through
 //! the wire protocol, with request coalescing off (`direct`: each request
-//! executes inline on its connection's reader thread) vs on (`coalesced`:
-//! requests from all connections collected for a short window and submitted
-//! as one engine batch — the read-path twin of WAL group commit). The
+//! executes inline on its connection's thread) vs on (`coalesced`: requests
+//! from all connections that queue while one engine batch runs are
+//! submitted together as the next — the read-path twin of WAL group
+//! commit). The
 //! workload is hot-key multi-gets over the medium-contention active set, so
 //! a coalesced cross-connection batch overlaps heavily and the sorted
 //! point-read planner resolves each hot key once for the whole cohort.
@@ -14,11 +15,9 @@
 //! toward 1 if batching breaks long before absolute throughput looks wrong
 //! on a noisy runner. The `*_p50/_p95/_p99` cells report client-observed
 //! request latency in microseconds (suffixed text: visible in the table and
-//! archived in `BENCH_JSON`, not gated — closed-loop latency under
-//! coalescing is the window by design).
+//! archived in `BENCH_JSON`, not gated).
 //!
 //! Env: `BENCH_CONNS` sweeps client connections (default `1,4`),
-//! `BENCH_COALESCE_US` the coalescing window (default 200),
 //! `BENCH_SERVE_KEYS` the keys per wire request (default 64),
 //! `BENCH_SERVE_DEPTH` the pipelined requests outstanding per connection
 //! (default 4); `BENCH_ROWS`/`BENCH_SECONDS`/`BENCH_POOL_THREADS` as
@@ -66,7 +65,8 @@ fn drive(
             .expect("send");
         (id, Instant::now())
     };
-    // Warm the connection (and the server's thread pair) off the clock.
+    // Warm the connection (and the server's connection thread) off the
+    // clock.
     for _ in 0..3 {
         send(&mut client, &mut rng, &mut keys);
         client.recv().expect("warmup");
@@ -163,7 +163,6 @@ fn main() {
     let pool_threads = setup::pool_thread_sweep().into_iter().max().unwrap_or(1);
     let keys_per_req = setup::serve_keys_per_request();
     let depth = setup::serve_pipeline_depth();
-    let window_us = setup::coalesce_window_us();
     let engine = setup::lstore_serving_engine(&config, pool_threads);
     let active_set = config.contention.active_set(config.rows);
 
@@ -187,8 +186,8 @@ fn main() {
         "Serving",
         &format!(
             "closed-loop multi-get ({keys_per_req} keys/req, depth {depth}) over the wire; \
-             rows={} active={} window={}us pool={}",
-            config.rows, active_set, window_us, pool_threads
+             rows={} active={} pool={}",
+            config.rows, active_set, pool_threads
         ),
     );
     for conns in setup::conn_sweep() {
@@ -204,7 +203,7 @@ fn main() {
         let (coal_rps, coal_lat) = measure(
             engine.database(),
             conns,
-            Coalesce::window_us(window_us),
+            Coalesce::group_read(),
             active_set,
             keys_per_req,
             depth,

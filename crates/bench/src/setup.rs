@@ -135,17 +135,6 @@ pub fn conn_sweep() -> Vec<usize> {
     usize_list("BENCH_CONNS").unwrap_or_else(|| vec![1, 4])
 }
 
-/// Coalescing window for the fig_serve runner, in microseconds (env
-/// `BENCH_COALESCE_US`, default 200 — matches
-/// `Coalesce::group_read()`).
-pub fn coalesce_window_us() -> u64 {
-    std::env::var("BENCH_COALESCE_US")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(200)
-}
-
 /// Point-read keys per wire request in the fig_serve runner (env
 /// `BENCH_SERVE_KEYS`, default 64 — a fan-out multi-get, the shape a
 /// service tier sees when one upstream call hydrates a page of items).

@@ -6,12 +6,12 @@
 //! * [`protocol`] — the length-prefixed binary wire format
 //!   (`docs/PROTOCOL.md`): versioned frame header, client-chosen request
 //!   ids for pipelining, engine errors as stable numeric codes.
-//! * [`server`] — the TCP service: acceptor, per-connection
-//!   reader/writer threads, a bounded in-flight budget that sheds load
-//!   with `Error::Overloaded`, per-request queue deadlines, and the
-//!   request coalescer that merges point reads arriving within a small
-//!   window across all connections into single engine batches (the
-//!   read-path analogue of WAL group commit).
+//! * [`server`] — the TCP service: acceptor, one thread per connection, a
+//!   bounded in-flight budget that sheds load with `Error::Overloaded`,
+//!   per-request queue deadlines, and the request coalescer that merges
+//!   point reads arriving across all connections while one engine batch
+//!   runs into the next batch (the read-path analogue of WAL group
+//!   commit).
 //! * [`client`] — a synchronous client: blocking one-shot calls plus a
 //!   pipelined send/recv split.
 //!

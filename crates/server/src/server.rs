@@ -1,38 +1,56 @@
-//! The service tier: a TCP acceptor, per-connection reader/writer threads,
-//! and the request coalescer.
+//! The service tier: a TCP acceptor, one thread per connection, and the
+//! request coalescer.
 //!
-//! The coalescer mirrors the WAL's group-commit shape on the read path:
-//! connection readers enqueue decoded point-read requests on one shared
-//! queue; a single coalescer thread collects everything that arrives
-//! within a small window (bounded by `max_batch`), merges requests with
-//! the same `(table, columns, as_of)` signature into one
-//! [`Table::read_batch`] call — which sorts, deduplicates, and fans out
-//! across the engine's unified task pool — and scatters the per-key
-//! results back to their originating connections. Under N closed-loop
-//! connections this turns N small independent probe loops into one
-//! planned batch per window: shared keys resolve once, per-dispatch
-//! overhead amortizes, and the batch planner's shard grouping gets real
-//! batches to work with.
+//! The coalescer mirrors the WAL's group-commit shape on the read path.
+//! One *batch slot* admits one running batch at a time. A connection's
+//! thread that decodes a point-read request queues it; if no batch is
+//! running, the thread claims the slot and runs the oldest queued
+//! requests, up to `max_batch` (its own is among them unless more than
+//! that were queued ahead of it), merging requests with the same
+//! `(table, columns, as_of)` signature into one [`Table::read_batch`]
+//! call, which sorts, deduplicates, and fans out across the engine's
+//! unified task pool. While a batch runs, other connections' requests (and
+//! this connection's pipelined ones) queue and their threads go back to
+//! their sockets; when the slot frees with work queued, the coalescer
+//! thread wakes and runs that work as the next batch. No request waits on
+//! a timer: a lone request runs at once on its own connection's thread,
+//! and under N closed-loop connections the requests that arrive during
+//! one batch become the next one, so shared keys resolve once and
+//! per-dispatch overhead amortizes exactly when there is contention to
+//! amortize. A connection with more than a batch of requests outstanding
+//! stops reading ahead: its thread waits for the slot and runs a batch
+//! itself, so one deep pipeline cannot fill the in-flight budget all
+//! connections share.
+//!
+//! Replies go straight to the requesting connection's socket from
+//! whichever thread ran the batch, after the slot is released. No thread
+//! waits on another's write, and a thread that ran a batch waits at most
+//! one short write timeout (`WRITE_SLICE`) on a connection whose peer has
+//! fallen behind; the rest of that connection's replies is left to its
+//! own thread, which reads no further requests until they are written and
+//! closes the connection if they are still unsent 250 ms (`WRITE_STALL`)
+//! after the first write fell short. So a peer that stops reading, or
+//! reads too slowly, delays only its own connection.
 //!
 //! Backpressure is a bounded in-flight budget: a request admitted past
 //! `max_inflight` outstanding ones is answered immediately with
 //! [`Error::Overloaded`] instead of queueing unboundedly, and a request
 //! that sits queued past `request_timeout` is dropped with
-//! [`Error::RequestTimeout`] when the coalescer reaches it — the client
-//! hears "shed, retry elsewhere/later", never silence.
+//! [`Error::RequestTimeout`] when its batch runs — the client hears "shed,
+//! retry elsewhere/later", never silence.
 //!
 //! [`Table::read_batch`]: lstore::Table::read_batch
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lstore::{Database, Error, ReadResponse};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::protocol::{self, Request, Response, HEADER_LEN, MAX_FRAME_LEN};
 
@@ -41,42 +59,22 @@ use crate::protocol::{self, Request, Response, HEADER_LEN, MAX_FRAME_LEN};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Coalesce {
     /// No coalescing: each request executes immediately on its
-    /// connection's reader thread (the per-request baseline the bench
-    /// driver compares against).
+    /// connection's thread (the per-request baseline the bench driver
+    /// compares against).
     Off,
-    /// Collect requests across all connections into one engine batch.
+    /// Requests queued across all connections while a batch runs form the
+    /// next engine batch.
     Window {
-        /// Hard cap on how long the first request of a batch may wait.
-        window: Duration,
-        /// Adaptive cut: close the batch once no new request has arrived
-        /// for this long (so a quiet queue never burns the full window).
-        grace: Duration,
-        /// Close the batch early at this many requests.
+        /// Cap on the requests one batch takes from the queue.
         max_batch: usize,
     },
 }
 
 impl Coalesce {
-    /// Default coalescing variant: a 200µs window, 25µs arrival grace,
-    /// 256-request batches — the read-path twin of
-    /// `Durability::group_commit()`.
+    /// Default coalescing variant: batches of up to 256 requests — the
+    /// read-path twin of `Durability::group_commit()`.
     pub const fn group_read() -> Coalesce {
-        Coalesce::Window {
-            window: Duration::from_micros(200),
-            grace: Duration::from_micros(25),
-            max_batch: 256,
-        }
-    }
-
-    /// A window-length override of [`Coalesce::group_read`] (grace scales
-    /// to an eighth of the window, floored at 5µs).
-    pub const fn window_us(window_us: u64) -> Coalesce {
-        let grace_us = if window_us / 8 < 5 { 5 } else { window_us / 8 };
-        Coalesce::Window {
-            window: Duration::from_micros(window_us),
-            grace: Duration::from_micros(grace_us),
-            max_batch: 256,
-        }
+        Coalesce::Window { max_batch: 256 }
     }
 }
 
@@ -130,7 +128,7 @@ struct Counters {
 
 /// One admitted request waiting for (or undergoing) execution.
 struct Pending {
-    writer: Arc<ConnWriter>,
+    conn: Arc<Conn>,
     request_id: u64,
     table: String,
     keys: Vec<u64>,
@@ -139,33 +137,169 @@ struct Pending {
     arrived: Instant,
 }
 
-/// Outbound frame queue of one connection, drained by its writer thread.
-/// Readers and the coalescer push encoded frames; the writer thread owns
-/// the socket's write half, so response order within a connection is
-/// whatever completion order was — request ids do the matching.
-struct ConnWriter {
-    frames: Mutex<Vec<Vec<u8>>>,
-    cv: Condvar,
-    done: AtomicBool,
+/// The write side of one connection. Any thread that finishes one of the
+/// connection's requests sends the reply here; request ids do the
+/// matching, so reply order is completion order.
+///
+/// No thread ever waits on another's socket write: one thread at a time
+/// is the connection's writer (`Outgoing::writing`), and others append to
+/// its queue and go on. A thread that sends to an idle connection writes
+/// at once, but never waits on the peer for more than one [`WRITE_SLICE`];
+/// what the socket does not take stays queued for the connection's own
+/// thread, which stops reading requests until the queue drains
+/// ([`Conn::flush`]) and closes the connection if it has not drained
+/// [`WRITE_STALL`] after the first write that fell short.
+struct Conn {
+    /// Written only by the thread that set `Outgoing::writing`.
+    stream: TcpStream,
+    out: Mutex<Outgoing>,
+    dead: AtomicBool,
+    /// Admitted requests not yet answered.
+    outstanding: AtomicUsize,
 }
 
-impl ConnWriter {
-    fn new() -> ConnWriter {
-        ConnWriter {
-            frames: Mutex::new(Vec::new()),
-            cv: Condvar::new(),
-            done: AtomicBool::new(false),
+/// Encoded reply frames not yet on the wire.
+#[derive(Default)]
+struct Outgoing {
+    /// Bytes in send order.
+    queued: Vec<u8>,
+    /// Some thread is writing `queued`; others only append to it.
+    writing: bool,
+    /// When a write first fell short since `queued` last drained.
+    stalled_since: Option<Instant>,
+}
+
+impl Conn {
+    /// Send encoded frames: write them now if no thread is writing and
+    /// the peer has kept up, else queue them behind what is unsent.
+    fn send(&self, frames: Vec<u8>) {
+        let mut out = self.out.lock();
+        if self.dead.load(Ordering::Acquire) {
+            return;
+        }
+        let idle = !out.writing && out.queued.is_empty();
+        if out.queued.is_empty() {
+            out.queued = frames;
+        } else {
+            out.queued.extend_from_slice(&frames);
+        }
+        if idle {
+            self.write(out, None);
         }
     }
 
-    fn push(&self, frame: Vec<u8>) {
-        self.frames.lock().push(frame);
-        self.cv.notify_one();
+    /// Write what earlier sends left queued, waiting on the peer until
+    /// [`WRITE_STALL`] after the first write that fell short (or until
+    /// `stop`); then close the connection. Run by the connection's own
+    /// thread before each request it reads and on every poll tick.
+    /// Returns false once the connection is closed.
+    fn flush(&self, stop: &AtomicBool) -> bool {
+        let out = self.out.lock();
+        if !out.writing && !out.queued.is_empty() {
+            let deadline = out.stalled_since.unwrap_or_else(Instant::now) + WRITE_STALL;
+            self.write(out, Some((deadline, stop)));
+        }
+        !self.dead.load(Ordering::Acquire)
     }
 
-    fn close(&self) {
-        self.done.store(true, Ordering::Release);
-        self.cv.notify_one();
+    /// Become the writer and write `queued`, including what other threads
+    /// append meanwhile, until it drains. Without `patience`, stop at the
+    /// first write that falls short and leave the rest queued; with it,
+    /// keep writing until the deadline passes or `stop` is set, then
+    /// close. A failed write may leave half a frame on the wire, so it
+    /// closes the connection too: later sends are dropped and the
+    /// connection's reader sees EOF.
+    fn write<'a>(
+        &'a self,
+        mut out: MutexGuard<'a, Outgoing>,
+        patience: Option<(Instant, &AtomicBool)>,
+    ) {
+        out.writing = true;
+        while !out.queued.is_empty() {
+            let mut bytes = std::mem::take(&mut out.queued);
+            drop(out);
+            let written = loop {
+                match (&self.stream).write(&bytes) {
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    result => break result,
+                }
+            };
+            out = self.out.lock();
+            let n = match written {
+                Ok(n) if n > 0 => n,
+                Err(e) if is_poll_timeout(&e) => 0,
+                _ => return self.close(&mut out),
+            };
+            if n < bytes.len() {
+                bytes.drain(..n);
+                bytes.extend_from_slice(&out.queued);
+                out.queued = bytes;
+                out.stalled_since.get_or_insert_with(Instant::now);
+                let Some((deadline, stop)) = patience else {
+                    break;
+                };
+                if Instant::now() >= deadline || stop.load(Ordering::Acquire) {
+                    return self.close(&mut out);
+                }
+            }
+        }
+        if out.queued.is_empty() {
+            out.stalled_since = None;
+        }
+        out.writing = false;
+    }
+
+    fn close(&self, out: &mut Outgoing) {
+        self.dead.store(true, Ordering::Release);
+        *out = Outgoing::default();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// Encoded replies of one batch, concatenated per connection so a
+/// pipelining connection gets one write rather than one per request.
+#[derive(Default)]
+struct Outbox(Vec<(Arc<Conn>, Vec<u8>)>);
+
+impl Outbox {
+    /// Encode a reply and release the request's budget slot.
+    fn push(&mut self, shared: &Shared, pending: &Pending, response: &Response) {
+        let frame = protocol::encode_response(pending.request_id, response);
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
+        pending.conn.outstanding.fetch_sub(1, Ordering::Relaxed);
+        match self
+            .0
+            .iter_mut()
+            .find(|(c, _)| Arc::ptr_eq(c, &pending.conn))
+        {
+            Some((_, bytes)) => bytes.extend_from_slice(&frame),
+            None => self.0.push((Arc::clone(&pending.conn), frame)),
+        }
+    }
+
+    fn send(self) {
+        for (conn, bytes) in self.0 {
+            conn.send(bytes);
+        }
+    }
+}
+
+/// The coalescing queue and the batch slot it feeds.
+#[derive(Default)]
+struct Batcher {
+    queue: VecDeque<Pending>,
+    /// True while some thread runs a batch.
+    running: bool,
+    /// Connection threads waiting for the slot (see [`submit`]).
+    throttled: usize,
+}
+
+impl Batcher {
+    /// Claim the batch slot and take up to `max_batch` queued requests.
+    fn claim(&mut self, max_batch: usize) -> Vec<Pending> {
+        self.running = true;
+        let n = self.queue.len().min(max_batch);
+        self.queue.drain(..n).collect()
     }
 }
 
@@ -174,8 +308,10 @@ struct Shared {
     config: ServerConfig,
     stop: AtomicBool,
     inflight: AtomicUsize,
-    queue: Mutex<VecDeque<Pending>>,
-    queue_cv: Condvar,
+    batcher: Mutex<Batcher>,
+    /// Signalled when the slot frees with requests still queued or
+    /// throttled threads waiting, and on shutdown.
+    slot_freed: Condvar,
     counters: Counters,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -204,23 +340,18 @@ impl Server {
             config,
             stop: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+            batcher: Mutex::new(Batcher::default()),
+            slot_freed: Condvar::new(),
             counters: Counters::default(),
             conn_threads: Mutex::new(Vec::new()),
         });
         let mut core = Vec::new();
-        if let Coalesce::Window {
-            window,
-            grace,
-            max_batch,
-        } = shared.config.coalesce
-        {
+        if let Coalesce::Window { max_batch } = shared.config.coalesce {
             let s = Arc::clone(&shared);
             core.push(
                 std::thread::Builder::new()
                     .name("lstore-coalescer".into())
-                    .spawn(move || coalescer_loop(&s, window, grace, max_batch.max(1)))?,
+                    .spawn(move || coalescer_loop(&s, max_batch.max(1)))?,
             );
         }
         let s = Arc::clone(&shared);
@@ -257,7 +388,12 @@ impl Server {
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::Release);
-        self.shared.queue_cv.notify_all();
+        {
+            // Under the lock, so a coalescer between its stop check and
+            // its wait cannot miss the wake-up.
+            let _batcher = self.shared.batcher.lock();
+            self.shared.slot_freed.notify_all();
+        }
         for handle in self.core_threads.lock().drain(..) {
             let _ = handle.join();
         }
@@ -281,8 +417,30 @@ impl Drop for Server {
 /// the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
+/// The socket write timeout: the longest one write waits for a peer whose
+/// buffers are full (the kernel rounds it up to its timer tick). A thread
+/// that ran a batch gives each connection that falls behind at most this
+/// long, once, and leaves the rest to the connection's own thread.
+const WRITE_SLICE: Duration = Duration::from_millis(1);
+
+/// How long a connection's unsent replies may stay unsent, counted from
+/// the first write that fell short, before the connection is closed as
+/// stalled (a peer that pipelines requests but does not read its
+/// replies, or reads them too slowly). Only that connection's own thread
+/// waits this long.
+const WRITE_STALL: Duration = Duration::from_millis(250);
+
 fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
     while !shared.stop.load(Ordering::Acquire) {
+        // Reap: a closed connection's thread has finished, so joining it
+        // returns at once, and retained handles track live connections.
+        for finished in shared
+            .conn_threads
+            .lock()
+            .extract_if(.., |h| h.is_finished())
+        {
+            let _ = finished.join();
+        }
         match listener.accept() {
             Ok((stream, _peer)) => {
                 if let Err(e) = spawn_connection(shared, stream) {
@@ -303,66 +461,48 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: TcpListener) {
 fn spawn_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let write_half = stream.try_clone()?;
-    let writer = Arc::new(ConnWriter::new());
-    let mut handles = shared.conn_threads.lock();
-    let w = Arc::clone(&writer);
-    handles.push(
-        std::thread::Builder::new()
-            .name("lstore-conn-writer".into())
-            .spawn(move || writer_loop(&w, write_half))?,
-    );
+    stream.set_write_timeout(Some(WRITE_SLICE))?;
+    let conn = Arc::new(Conn {
+        stream: stream.try_clone()?,
+        out: Mutex::new(Outgoing::default()),
+        dead: AtomicBool::new(false),
+        outstanding: AtomicUsize::new(0),
+    });
     let s = Arc::clone(shared);
-    handles.push(
-        std::thread::Builder::new()
-            .name("lstore-conn-reader".into())
-            .spawn(move || {
-                reader_loop(&s, stream, &writer);
-                writer.close();
-            })?,
-    );
+    let handle = std::thread::Builder::new()
+        .name("lstore-conn".into())
+        .spawn(move || {
+            reader_loop(&s, stream, &conn);
+            // Replies the peer has not taken yet (it may have closed only
+            // its write half) get the usual grace.
+            conn.flush(&s.stop);
+        })?;
+    shared.conn_threads.lock().push(handle);
     Ok(())
 }
 
-fn writer_loop(writer: &ConnWriter, mut stream: TcpStream) {
-    use std::io::Write;
+fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream, conn: &Arc<Conn>) {
+    // Between requests and on every poll tick: unsent replies go out
+    // before another request is read, so a peer that falls behind stops
+    // being read and its unsent replies stay bounded.
+    let alive = || !shared.stop.load(Ordering::Acquire) && conn.flush(&shared.stop);
     loop {
-        let batch = {
-            let mut frames = writer.frames.lock();
-            while frames.is_empty() {
-                if writer.done.load(Ordering::Acquire) {
-                    return;
-                }
-                writer.cv.wait(&mut frames);
-            }
-            std::mem::take(&mut *frames)
-        };
-        for frame in batch {
-            if stream.write_all(&frame).is_err() {
-                // Peer gone: drain silently until the reader notices EOF
-                // and closes us.
-                writer.done.store(true, Ordering::Release);
-                return;
-            }
+        if !alive() {
+            return;
         }
-    }
-}
-
-fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream, writer: &Arc<ConnWriter>) {
-    loop {
-        let payload = match read_frame_interruptible(&mut stream, &shared.stop) {
+        let payload = match read_frame_interruptible(&mut stream, &alive) {
             Ok(Some(payload)) => payload,
             Ok(None) | Err(_) => return,
         };
         match protocol::decode_request(&payload) {
             Ok((id, Request::Ping)) => {
-                writer.push(protocol::encode_response(id, &Response::Pong));
+                conn.send(protocol::encode_response(id, &Response::Pong));
             }
             Ok((id, Request::Read { table, request })) => {
                 let columns = request.columns;
                 submit(
                     shared,
-                    writer,
+                    conn,
                     id,
                     table,
                     vec![request.key],
@@ -379,26 +519,26 @@ fn reader_loop(shared: &Arc<Shared>, mut stream: TcpStream, writer: &Arc<ConnWri
                     as_of,
                 },
             )) => {
-                submit(shared, writer, id, table, keys, columns, as_of);
+                submit(shared, conn, id, table, keys, columns, as_of);
             }
             Err(e) => {
                 // The frame was well-delimited but unspeakable. Framing is
                 // still sound, yet the peer is confused (or hostile):
                 // answer with the protocol error and drop the connection.
-                writer.push(protocol::encode_response(0, &Response::Rejected(e)));
+                conn.send(protocol::encode_response(0, &Response::Rejected(e)));
                 return;
             }
         }
     }
 }
 
-/// Admit one read request past the in-flight budget, then hand it to the
-/// coalescer queue (window mode) or execute it inline on this reader
-/// thread (per-request mode).
+/// Admit one read request past the in-flight budget, then execute it
+/// inline (per-request mode) or queue it for the batch slot, running the
+/// batch on this thread if the slot is free (window mode).
 #[allow(clippy::too_many_arguments)]
 fn submit(
     shared: &Arc<Shared>,
-    writer: &Arc<ConnWriter>,
+    conn: &Arc<Conn>,
     request_id: u64,
     table: String,
     keys: Vec<u64>,
@@ -409,15 +549,16 @@ fn submit(
     if prev >= shared.config.max_inflight {
         shared.inflight.fetch_sub(1, Ordering::AcqRel);
         shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-        writer.push(protocol::encode_response(
+        conn.send(protocol::encode_response(
             request_id,
             &Response::Rejected(Error::Overloaded),
         ));
         return;
     }
     shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
+    conn.outstanding.fetch_add(1, Ordering::Relaxed);
     let pending = Pending {
-        writer: Arc::clone(writer),
+        conn: Arc::clone(conn),
         request_id,
         table,
         keys,
@@ -426,20 +567,47 @@ fn submit(
         arrived: Instant::now(),
     };
     match shared.config.coalesce {
-        Coalesce::Off => execute_one(shared, pending),
-        Coalesce::Window { .. } => {
-            shared.queue.lock().push_back(pending);
-            shared.queue_cv.notify_one();
+        Coalesce::Off => {
+            let results = table_results(
+                shared,
+                &pending.table,
+                &pending.keys,
+                pending.columns.as_deref(),
+                pending.as_of,
+            );
+            let mut outbox = Outbox::default();
+            outbox.push(shared, &pending, &Response::Results(results));
+            outbox.send();
+        }
+        Coalesce::Window { max_batch } => {
+            let max_batch = max_batch.max(1);
+            let batch = {
+                let mut batcher = shared.batcher.lock();
+                batcher.queue.push_back(pending);
+                if batcher.running {
+                    if conn.outstanding.load(Ordering::Relaxed) <= max_batch {
+                        // The running batch's release hands this request
+                        // to the coalescer.
+                        return;
+                    }
+                    // A connection with more than a batch outstanding stops
+                    // reading ahead and waits to run a batch itself, so a
+                    // deep pipeline is held back by TCP flow control, not
+                    // by the in-flight budget every connection shares.
+                    batcher.throttled += 1;
+                    while batcher.running {
+                        shared.slot_freed.wait(&mut batcher);
+                    }
+                    batcher.throttled -= 1;
+                    if batcher.queue.is_empty() {
+                        return;
+                    }
+                }
+                batcher.claim(max_batch)
+            };
+            run_batch(shared, batch);
         }
     }
-}
-
-/// Encode + enqueue a response and release the request's budget slot.
-fn respond(shared: &Shared, pending: &Pending, response: &Response) {
-    pending
-        .writer
-        .push(protocol::encode_response(pending.request_id, response));
-    shared.inflight.fetch_sub(1, Ordering::AcqRel);
 }
 
 fn table_results(
@@ -458,92 +626,62 @@ fn table_results(
     }
 }
 
-/// Per-request mode: execute immediately on the calling reader thread.
-fn execute_one(shared: &Shared, pending: Pending) {
-    let results = table_results(
-        shared,
-        &pending.table,
-        &pending.keys,
-        pending.columns.as_deref(),
-        pending.as_of,
-    );
-    respond(shared, &pending, &Response::Results(results));
-}
-
 // ---------------------------------------------------------------------
 // The coalescer
 // ---------------------------------------------------------------------
 
-/// Collect-and-execute loop. Batch lifecycle: sleep until a leader
-/// request arrives, then keep collecting until the hard `window` deadline
-/// (measured from the leader's pop), an arrival gap longer than `grace`,
-/// or `max_batch` requests — whichever comes first. Closed-loop clients
-/// self-synchronize with this: a batch's responses release its
-/// connections together, their next requests arrive as a burst, the gap
-/// rule cuts the batch right after the burst, and the window cap only
-/// matters under trickle arrivals.
-fn coalescer_loop(shared: &Arc<Shared>, window: Duration, grace: Duration, max_batch: usize) {
+/// Run requests that queued while the batch slot was taken: sleep until
+/// the slot frees with work queued, claim it, run the batch. No timed
+/// wait — a batch is whatever arrived during the previous one.
+fn coalescer_loop(shared: &Shared, max_batch: usize) {
     loop {
-        let mut batch: Vec<Pending> = Vec::new();
-        {
-            let mut queue = shared.queue.lock();
-            let mut opened = Instant::now();
-            loop {
-                while batch.len() < max_batch {
-                    match queue.pop_front() {
-                        Some(p) => {
-                            if batch.is_empty() {
-                                opened = Instant::now();
-                            }
-                            batch.push(p);
-                        }
-                        None => break,
-                    }
+        let batch = {
+            let mut batcher = shared.batcher.lock();
+            while batcher.running || batcher.queue.is_empty() {
+                if batcher.queue.is_empty() && shared.stop.load(Ordering::Acquire) {
+                    return;
                 }
-                if batch.len() >= max_batch {
-                    break;
-                }
-                if batch.is_empty() {
-                    if shared.stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    shared.queue_cv.wait(&mut queue);
-                    continue;
-                }
-                let now = Instant::now();
-                let deadline = opened + window;
-                if now >= deadline {
-                    break;
-                }
-                let timed_out = shared
-                    .queue_cv
-                    .wait_for(&mut queue, (deadline - now).min(grace))
-                    .timed_out();
-                if timed_out && queue.is_empty() {
-                    break; // grace elapsed with no new arrivals
-                }
+                shared.slot_freed.wait(&mut batcher);
             }
-        }
-        execute_batch(shared, batch);
+            batcher.claim(max_batch)
+        };
+        run_batch(shared, batch);
     }
+}
+
+/// Execute a batch claimed with the slot, release the slot (waking the
+/// coalescer if requests queued meanwhile, and any throttled thread), then
+/// write the replies.
+fn run_batch(shared: &Shared, batch: Vec<Pending>) {
+    let outbox = execute_batch(shared, batch);
+    let wake = {
+        let mut batcher = shared.batcher.lock();
+        batcher.running = false;
+        !batcher.queue.is_empty() || batcher.throttled > 0
+    };
+    if wake {
+        shared.slot_freed.notify_all();
+    }
+    outbox.send();
 }
 
 /// Execute one coalesced batch: drop timed-out requests, merge the rest
 /// by `(table, columns, as_of)` signature into one engine batch each, and
-/// scatter results back per request.
-fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
+/// encode the results back per request.
+fn execute_batch(shared: &Shared, batch: Vec<Pending>) -> Outbox {
+    let mut outbox = Outbox::default();
     let mut live: Vec<Pending> = Vec::with_capacity(batch.len());
     for pending in batch {
         match shared.config.request_timeout {
             Some(deadline) if pending.arrived.elapsed() > deadline => {
                 shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-                respond(shared, &pending, &Response::Rejected(Error::RequestTimeout));
+                outbox.push(shared, &pending, &Response::Rejected(Error::RequestTimeout));
             }
             _ => live.push(pending),
         }
     }
     if live.is_empty() {
-        return;
+        return outbox;
     }
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
     shared
@@ -587,12 +725,13 @@ fn execute_batch(shared: &Shared, batch: Vec<Pending>) {
         }
     }
     for (pending, result) in live.iter().zip(results) {
-        respond(
+        outbox.push(
             shared,
             pending,
             &Response::Results(result.expect("every member resolved")),
         );
     }
+    outbox
 }
 
 // ---------------------------------------------------------------------
@@ -606,12 +745,13 @@ fn is_poll_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// [`protocol::read_frame`] with stop-flag polling: the socket has a read
-/// timeout, and partial reads accumulate in our buffer across timeouts —
-/// a poll tick can never lose frame sync.
+/// [`protocol::read_frame`] with polling: the socket has a read timeout,
+/// and on each timeout tick `alive` runs and returning false ends the
+/// read. Partial reads accumulate in our buffer across ticks — a poll tick
+/// can never lose frame sync.
 fn read_frame_interruptible(
     stream: &mut TcpStream,
-    stop: &AtomicBool,
+    alive: &dyn Fn() -> bool,
 ) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
@@ -626,7 +766,7 @@ fn read_frame_interruptible(
             }
             Ok(n) => filled += n,
             Err(e) if is_poll_timeout(&e) => {
-                if stop.load(Ordering::Acquire) {
+                if !alive() {
                     return Ok(None);
                 }
             }
@@ -648,7 +788,7 @@ fn read_frame_interruptible(
             Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
             Ok(n) => filled += n,
             Err(e) if is_poll_timeout(&e) => {
-                if stop.load(Ordering::Acquire) {
+                if !alive() {
                     return Ok(None);
                 }
             }
@@ -657,4 +797,35 @@ fn read_frame_interruptible(
         }
     }
     Ok(Some(payload))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lstore::{DbConfig, TableConfig};
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let db = Database::new(DbConfig::new());
+        db.create_table("kv", &["v"], TableConfig::small()).unwrap();
+        let server = Server::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        for _ in 0..50 {
+            let mut client = crate::Client::connect(server.local_addr()).unwrap();
+            client.ping().unwrap();
+        }
+        // Every client is closed: no live connection remains, so the
+        // acceptor's reaping must bring the retained handles to zero.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let retained = server.shared.conn_threads.lock().len();
+            if retained == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{retained} connection handles retained with no live connection"
+            );
+            std::thread::sleep(POLL_INTERVAL);
+        }
+    }
 }

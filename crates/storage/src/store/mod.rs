@@ -138,8 +138,8 @@ impl PageStore {
     }
 
     /// A cold handle to a page already persisted under `id` (the restore
-    /// path): no frame slot is populated until the first read faults the
-    /// image in.
+    /// path): no frame slot is populated, and the frame stays off the
+    /// clock ring, until the first read faults the image in.
     pub fn handle(self: &Arc<Self>, id: u64) -> StorageResult<PagePtr> {
         if !self.index.read().contains_key(&id) {
             return Err(StorageError::MissingEntry { id });
@@ -151,7 +151,6 @@ impl PageStore {
             Arc::downgrade(self),
             Arc::clone(self.pool.stats()),
         ));
-        self.pool.register(&frame);
         Ok(PagePtr::Stored(PageHandle {
             store: Arc::clone(self),
             frame,
@@ -186,6 +185,7 @@ impl PageStore {
         self.pool.stats().add_resident();
         self.pool.stats().faults.fetch_add(1, Ordering::Relaxed);
         drop(slot);
+        self.pool.register(frame);
         self.enforce_budget();
         pinned
     }
@@ -652,6 +652,36 @@ mod tests {
         // The error is surfaced exactly once, as a stable Error.
         let err = store.flush().expect_err("flush must surface ENOSPC");
         assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn cold_handles_join_the_clock_ring_only_when_faulted() {
+        let path = temp_store_path("cold-ring");
+        let ids: Vec<u64> = {
+            let store = PageStore::open(&path, None).unwrap();
+            let ptrs: Vec<PagePtr> = (0..4).map(|i| store.seal(page(i, 64))).collect();
+            store.flush().unwrap();
+            ptrs.iter().map(|p| p.page_id().unwrap()).collect()
+        };
+        let store = PageStore::open(&path, Some(2)).unwrap();
+        let handles: Vec<PagePtr> = ids.iter().map(|&id| store.handle(id).unwrap()).collect();
+        assert_eq!(store.pool.ring_len(), 0, "restored handles are cold");
+        for _ in 0..2 {
+            assert_eq!(handles[1].read().decode(), page(1, 64).decode());
+            assert_eq!(
+                store.pool.ring_len(),
+                1,
+                "one faulted frame, registered once"
+            );
+        }
+        // Budget 2 over 4 pages: the sweep evicts, and the ring never holds
+        // more frames than the pages that were faulted in.
+        for (i, h) in handles.iter().enumerate() {
+            assert_eq!(h.read().decode(), page(i as u64, 64).decode());
+        }
+        assert!(store.pool.ring_len() <= 4);
+        assert!(store.pool_stats().evictions >= 2);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

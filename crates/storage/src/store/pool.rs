@@ -7,12 +7,15 @@
 //! long as it lives — the same contract the epoch mechanism gives retired
 //! base-page *versions*, applied one level down to page *images*.
 //!
-//! Eviction is the classic clock (second chance): a hand sweeps the frame
-//! list, clearing reference bits, skipping pinned frames, and evicting the
-//! first unpinned frame whose bit was already clear. Dirty victims are
-//! written back through a caller-supplied writeback function before the
-//! slot is dropped, so the file always holds a decodable image of every
-//! evicted page.
+//! Eviction is the classic clock (second chance): a hand sweeps the ring of
+//! resident frames, clearing reference bits, skipping pinned frames, and
+//! evicting the first unpinned frame whose bit was already clear. Dirty
+//! victims are written back through a caller-supplied writeback function
+//! before the slot is dropped, so the file always holds a decodable image
+//! of every evicted page. A frame joins the ring when its page becomes
+//! resident (sealed or faulted in) and leaves it when the hand finds it
+//! evicted, so the sweep's length tracks the budget, not every page the
+//! store has ever held.
 
 use std::fmt;
 use std::ops::Deref;
@@ -146,6 +149,9 @@ pub(crate) struct Frame {
     pub(crate) referenced: AtomicBool,
     /// True while the cached page has no up-to-date image in the file.
     pub(crate) dirty: AtomicBool,
+    /// True while the frame is on the clock ring; changed only under the
+    /// clock lock.
+    in_ring: AtomicBool,
     stats: Arc<PoolStats>,
 }
 
@@ -164,6 +170,7 @@ impl Frame {
             pins: AtomicU64::new(0),
             referenced: AtomicBool::new(false),
             dirty: AtomicBool::new(dirty),
+            in_ring: AtomicBool::new(false),
             stats,
         }
     }
@@ -260,7 +267,7 @@ pub(crate) enum EvictOutcome {
     WritebackFailed(StorageError),
 }
 
-/// Clock state: the registered frames and the sweep hand.
+/// Clock state: the ring of (possibly) resident frames and the sweep hand.
 struct Clock {
     frames: Vec<Weak<Frame>>,
     hand: usize,
@@ -270,7 +277,8 @@ struct Clock {
 ///
 /// The pool holds frames weakly: frame lifetime belongs to the `PagePtr`s
 /// embedded in base versions, which the engine retires through the epoch
-/// mechanism. Dead weak entries are pruned as the hand passes them.
+/// mechanism. Dead weak entries and evicted frames are pruned as the hand
+/// passes them.
 pub(crate) struct BufferPool {
     clock: Mutex<Clock>,
     stats: Arc<PoolStats>,
@@ -295,12 +303,25 @@ impl BufferPool {
         &self.stats
     }
 
-    /// Register a frame with the clock.
+    /// Put a frame whose page was just installed on the clock ring;
+    /// idempotent. The caller installs the page *before* registering, and
+    /// the sweep removes a frame only after seeing its slot empty under the
+    /// clock lock, so a resident frame is never left off the ring.
     pub(crate) fn register(&self, frame: &Arc<Frame>) {
-        self.clock.lock().frames.push(Arc::downgrade(frame));
+        let mut clock = self.clock.lock();
+        if !frame.in_ring.swap(true, Ordering::Relaxed) {
+            clock.frames.push(Arc::downgrade(frame));
+        }
     }
 
-    /// Snapshot the live frames (for flush sweeps).
+    /// Frames on the clock ring.
+    #[cfg(test)]
+    pub(crate) fn ring_len(&self) -> usize {
+        self.clock.lock().frames.len()
+    }
+
+    /// Snapshot the live frames on the ring (for flush sweeps: dirty
+    /// frames are always resident, so always on it).
     pub(crate) fn live_frames(&self) -> Vec<Arc<Frame>> {
         self.clock
             .lock()
@@ -367,14 +388,23 @@ impl BufferPool {
                     clock.hand = 0;
                 }
                 let at = clock.hand;
-                match clock.frames[at].upgrade() {
-                    Some(frame) => {
+                let frame = clock.frames[at].upgrade();
+                // Evicted: the slot is empty and, with the clock lock held,
+                // no fault can re-register the frame until we are done.
+                let evicted = frame
+                    .as_ref()
+                    .is_some_and(|f| f.slot.try_read().is_some_and(|slot| slot.is_none()));
+                match frame {
+                    Some(frame) if !evicted => {
                         clock.hand += 1;
                         frame
                     }
-                    None => {
-                        // Prune the dead entry; the hand stays, now
-                        // pointing at the swapped-in tail frame.
+                    _ => {
+                        // Prune the dead or evicted entry; the hand stays,
+                        // now pointing at the swapped-in tail frame.
+                        if let Some(frame) = frame {
+                            frame.in_ring.store(false, Ordering::Relaxed);
+                        }
                         clock.frames.swap_remove(at);
                         continue;
                     }

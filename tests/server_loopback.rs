@@ -4,9 +4,11 @@
 //! writers — and its backpressure behaviors (load shed, queue timeout)
 //! must surface as the explicit wire errors, never as silence.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lstore::{Database, DbConfig, Error, ReadRequest, ReadResponse, Table, TableConfig};
 use lstore_server::protocol::{encode_response, Response};
@@ -57,7 +59,7 @@ fn coalesced_reads_are_byte_identical_to_embedded_reads_under_writers() {
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            coalesce: Coalesce::window_us(200),
+            coalesce: Coalesce::group_read(),
             ..ServerConfig::default()
         },
     )
@@ -152,7 +154,7 @@ fn pipelined_requests_match_by_id_out_of_order() {
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            coalesce: Coalesce::window_us(150),
+            coalesce: Coalesce::group_read(),
             ..ServerConfig::default()
         },
     )
@@ -212,10 +214,10 @@ fn queued_requests_past_deadline_time_out() {
         Arc::clone(&db),
         "127.0.0.1:0",
         ServerConfig {
-            coalesce: Coalesce::window_us(100),
+            coalesce: Coalesce::group_read(),
             max_inflight: 4096,
-            // Zero deadline: by the time the coalescer pops any request,
-            // it has aged past the limit — deterministic timeout.
+            // Zero deadline: by the time any batch runs a request, it has
+            // aged past the limit — deterministic timeout.
             request_timeout: Some(Duration::ZERO),
         },
     )
@@ -252,4 +254,185 @@ fn engine_errors_cross_the_wire_with_stable_codes() {
         }) => assert_eq!(columns, COLS),
         other => panic!("expected ColumnOutOfRange, got {other:?}"),
     }
+}
+
+#[test]
+fn pipelined_connections_coalesce_and_match_embedded_reads() {
+    const CONNS: u64 = 4;
+    const DEPTH: usize = 4;
+    const REQUESTS: usize = 200;
+    let (db, table) = populated_db(1_000);
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let ts = table.now();
+    let clients: Vec<_> = (0..CONNS)
+        .map(|c| {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut rng = Lcg(0x5EED + c);
+                let mut inflight = std::collections::HashMap::new();
+                let (mut sent, mut received) = (0, 0);
+                while received < REQUESTS {
+                    while sent < REQUESTS && inflight.len() < DEPTH {
+                        let keys: Vec<u64> = (0..16).map(|_| rng.next() % 1_200).collect();
+                        let id = client.send_multi_read("kv", &keys, None, Some(ts)).unwrap();
+                        inflight.insert(id, keys);
+                        sent += 1;
+                    }
+                    let (id, reply) = client.recv().unwrap();
+                    let keys = inflight.remove(&id).expect("unknown or duplicate id");
+                    let lstore_server::Reply::Results(remote) = reply else {
+                        panic!("unexpected reply {reply:?}");
+                    };
+                    let embedded =
+                        table.multi_read_as_of(&keys, &(0..COLS).collect::<Vec<_>>(), ts);
+                    assert_eq!(
+                        encode_response(0, &Response::Results(remote)),
+                        encode_response(0, &embedded_as_wire(embedded)),
+                        "pipelined reads diverged"
+                    );
+                    received += 1;
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    let stats = server.stats();
+    assert!(stats.batches > 0, "no coalesced batches ran: {stats:?}");
+    assert_eq!(stats.admitted, CONNS * REQUESTS as u64, "{stats:?}");
+    assert_eq!(stats.batched_requests, stats.admitted, "{stats:?}");
+}
+
+/// Pipeline 64-key multi-reads on `stream` without reading a reply, until
+/// a write fails; return how it failed. Once the socket buffers fill, the
+/// server's reply writes stall and it stops reading this connection. The
+/// 20 s limit (`TimedOut`) only guards the test against a server that
+/// never closes the connection.
+fn pipeline_until_closed(mut stream: TcpStream) -> ErrorKind {
+    let guard = Instant::now() + Duration::from_secs(20);
+    stream
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let keys: Vec<u64> = (0..64).collect();
+    for id in 1..=1_000_000u64 {
+        if Instant::now() > guard {
+            return ErrorKind::TimedOut;
+        }
+        let frame = lstore_server::protocol::encode_request(
+            id,
+            &lstore_server::protocol::Request::MultiRead {
+                table: "kv".into(),
+                keys: keys.clone(),
+                columns: None,
+                as_of: None,
+            },
+        );
+        if let Err(e) = stream.write_all(&frame) {
+            return e.kind();
+        }
+    }
+    panic!("a million unread replies never stalled the server");
+}
+
+/// The server closed the connection: the sender's writes failed with a
+/// reset or broken pipe, not with its own timeout.
+fn assert_closed_by_server(kind: ErrorKind) {
+    assert!(
+        !matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "the stalled connection was never closed ({kind:?})"
+    );
+}
+
+/// Blocking 64-key multi-reads on a fresh connection until `done` holds
+/// (and at least 50 ran), each checked against the populated values;
+/// returns the slowest one.
+fn read_until(addr: std::net::SocketAddr, done: impl Fn() -> bool) -> Duration {
+    let mut client = Client::connect(addr).unwrap();
+    let keys: Vec<u64> = (0..64).collect();
+    let mut reads = 0;
+    let mut slowest = Duration::ZERO;
+    while reads < 50 || !done() {
+        let started = Instant::now();
+        let results = client.multi_read("kv", &keys, None, None).unwrap();
+        slowest = slowest.max(started.elapsed());
+        for (key, result) in keys.iter().zip(results) {
+            assert_eq!(result.unwrap().values, Some(vec![*key, key * 2, key * 3]));
+        }
+        reads += 1;
+    }
+    client.ping().unwrap();
+    slowest
+}
+
+fn assert_prompt_shutdown(server: &Server) {
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn a_peer_that_never_reads_is_closed_without_stalling_others() {
+    let (db, _table) = populated_db(2_000);
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let stream = TcpStream::connect(addr).unwrap();
+    let slow = std::thread::spawn(move || pipeline_until_closed(stream));
+
+    // A second connection's blocking reads keep completing meanwhile.
+    read_until(addr, || slow.is_finished());
+    assert_closed_by_server(slow.join().unwrap());
+    assert_prompt_shutdown(&server);
+}
+
+#[test]
+fn stalled_and_trickling_peers_are_closed_without_delaying_others() {
+    let (db, _table) = populated_db(2_000);
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // Two peers never read. A third reads 64 KiB every 100 ms, so writes
+    // to it keep making a little progress but never catch up.
+    let mut slow: Vec<_> = (0..2)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).unwrap();
+            std::thread::spawn(move || pipeline_until_closed(stream))
+        })
+        .collect();
+    let trickle = TcpStream::connect(addr).unwrap();
+    let mut trickle_reads = trickle.try_clone().unwrap();
+    let trickle_done = Arc::new(AtomicBool::new(false));
+    let trickling = {
+        let done = Arc::clone(&trickle_done);
+        std::thread::spawn(move || {
+            let mut buf = vec![0u8; 64 << 10];
+            while !done.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(100));
+                if matches!(trickle_reads.read(&mut buf), Ok(0) | Err(_)) {
+                    return;
+                }
+            }
+        })
+    };
+    slow.push(std::thread::spawn(move || pipeline_until_closed(trickle)));
+
+    // Replies to the slow peers never hold up this connection's for
+    // anywhere near the 1 s request timeout.
+    let slowest = read_until(addr, || slow.iter().all(|t| t.is_finished()));
+    for peer in slow {
+        assert_closed_by_server(peer.join().unwrap());
+    }
+    trickle_done.store(true, Ordering::Relaxed);
+    trickling.join().unwrap();
+    assert!(
+        slowest < Duration::from_millis(500),
+        "a healthy connection's read took {slowest:?}"
+    );
+    assert_prompt_shutdown(&server);
 }
